@@ -361,10 +361,12 @@ fn table1() {
     println!("[table1] physical design cost evaluation");
     let framework = AutoNcs::new();
     let mut table = CostTable::new();
+    let mut golden = String::new();
     for id in [1usize, 2, 3] {
         let tb = testbench(id);
         let t0 = Instant::now();
         let report = framework.compare(tb.network()).expect("comparison flow");
+        golden.push_str(&report.golden_record(&format!("tb{id}")));
         println!(
             "  testbench {id}: WL {:+.1}%, area {:+.1}%, delay {:+.1}% ({:?})",
             report.wirelength_reduction() * 100.0,
@@ -383,7 +385,9 @@ fn table1() {
     );
     println!("  (paper: 47.80%, 31.97%, 47.18%)");
     print!("{table}");
+    print!("  raw seed-{SEED} numbers (tests/golden/table1_seed42.txt):\n{golden}");
     report_artifact(&write_text("table1.csv", &table.to_csv()));
+    report_artifact(&write_text(&format!("table1_seed{SEED}.txt"), &golden));
 }
 
 /// Ablations over the design choices DESIGN.md calls out: the reading of

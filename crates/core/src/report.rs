@@ -37,6 +37,51 @@ impl ComparisonReport {
         )
     }
 
+    /// The raw, exactly round-tripping numbers of this comparison, one
+    /// `label key value` line each: AutoNCS and FullCro wirelength, area
+    /// and delay (floats printed with `{:?}`, the shortest form that
+    /// parses back to the same bits), the ISC iteration count, the
+    /// outlier ratio and the crossbar size histogram. This is the format
+    /// of the Table 1 golden artifact, so any change to a pinned result
+    /// shows up as a textual diff.
+    pub fn golden_record(&self, label: &str) -> String {
+        let mut out = String::new();
+        for (design, flow) in [("autoncs", &self.autoncs), ("fullcro", &self.baseline)] {
+            let cost = &flow.design.cost;
+            out.push_str(&format!(
+                "{label} {design}.wirelength_um {:?}\n",
+                cost.wirelength_um
+            ));
+            out.push_str(&format!("{label} {design}.area_um2 {:?}\n", cost.area_um2));
+            out.push_str(&format!(
+                "{label} {design}.delay_ns {:?}\n",
+                cost.average_delay_ns
+            ));
+        }
+        let iterations = self
+            .autoncs
+            .trace
+            .as_ref()
+            .map_or(0, |t| t.iterations.len());
+        out.push_str(&format!("{label} isc.iterations {iterations}\n"));
+        out.push_str(&format!(
+            "{label} isc.outlier_ratio {:?}\n",
+            self.autoncs.mapping.outlier_ratio()
+        ));
+        let histogram: Vec<String> = self
+            .autoncs
+            .mapping
+            .size_histogram()
+            .iter()
+            .map(|(size, count)| format!("{size}x{count}"))
+            .collect();
+        out.push_str(&format!(
+            "{label} isc.crossbar_sizes {}\n",
+            histogram.join(" ")
+        ));
+        out
+    }
+
     /// Renders one [`CostTableRow`] for this comparison.
     pub fn to_row(&self, label: impl Into<String>) -> CostTableRow {
         CostTableRow {
