@@ -33,7 +33,7 @@ use ncs_cluster::{
     GcpOptions, GroupDeletionOptions, Isc, IscOptions,
 };
 use ncs_linalg::optimize::{minimize, CgOptions};
-use ncs_linalg::{CsrMatrix, DenseMatrix, SymmetricEigen, Triplet};
+use ncs_linalg::{DenseMatrix, SymmetricEigen};
 use ncs_net::{generators, HopfieldNetwork, PatternSet, Testbench, TestbenchSpec};
 use ncs_phys::{
     detailed_swap, detailed_swap_reference, place, route, Netlist, PlaceAlgorithm, PlacerOptions,
@@ -290,28 +290,6 @@ fn par() {
         SymmetricEigen::new(&a).unwrap()
     });
 
-    // Sparse matvec: ~16k nonzeros clears the parallel threshold; 32
-    // products per iteration make a timeable unit.
-    let dim = 2000;
-    let mut triplets = Vec::new();
-    let mut s = 7u64;
-    for _ in 0..16_000 {
-        s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-        let r = (s >> 33) as usize % dim;
-        s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-        let c = (s >> 33) as usize % dim;
-        triplets.push(Triplet::new(r, c, 1.0 + (r + c) as f64 / dim as f64));
-    }
-    let csr = CsrMatrix::from_triplets(dim, dim, &triplets).unwrap();
-    let x: Vec<f64> = (0..dim).map(|i| (i as f64 * 0.17).sin()).collect();
-    group.bench_speedup("csr_matvec/2000", threads, || {
-        let mut y = vec![0.0; dim];
-        for _ in 0..32 {
-            csr.matvec_into(&x, &mut y);
-        }
-        y
-    });
-
     // K-means assignment: n*k*dim = 2048*16*8 clears the threshold.
     let pts = {
         let npts = 2048;
@@ -326,27 +304,6 @@ fn par() {
     };
     group.bench_speedup("kmeans/2048x8", threads, || {
         kmeans(&pts, 16, SEED, 30).unwrap()
-    });
-
-    // Placement and routing on the same hybrid mapping the
-    // physical_design group uses.
-    let net = generators::planted_clusters(128, 4, 0.4, 0.01, SEED)
-        .unwrap()
-        .0;
-    let tech = TechnologyModel::nm45();
-    let hybrid = Isc::new(IscOptions {
-        seed: SEED,
-        ..IscOptions::default()
-    })
-    .run(&net)
-    .unwrap();
-    let nl = Netlist::from_mapping(&hybrid, &tech);
-    group.bench_speedup("placement/hybrid128", threads, || {
-        place(&nl, &PlacerOptions::fast()).unwrap()
-    });
-    let p = place(&nl, &PlacerOptions::fast()).unwrap();
-    group.bench_speedup("routing/hybrid128", threads, || {
-        route(&nl, &p, &tech, &RouterOptions::default()).unwrap()
     });
 
     report_artifact(&group.write_json());
@@ -383,14 +340,12 @@ fn physical_design() {
 }
 
 /// Hot-path router benches: the production windowed-A* search vs the
-/// full-grid Dijkstra reference on the same placed hybrid mappings, with
-/// the thread override pinned to 1 so the medians measure the serial
-/// kernel (the regression gate for the A* rework) rather than whatever
-/// parallelism the host offers. Both algorithms produce bit-identical
-/// routes — see `tests/determinism.rs` — so this is a pure speed contest.
+/// full-grid Dijkstra reference on the same placed hybrid mappings (the
+/// regression gate for the A* rework). Both algorithms produce
+/// bit-identical routes — see `tests/determinism.rs` — so this is a pure
+/// speed contest.
 fn route_hot_path() {
     println!("[bench] route");
-    ncs_par::set_thread_override(Some(1));
     let tech = TechnologyModel::nm45();
     let mut group = BenchGroup::new("route");
     for n in [192usize, 256] {
@@ -421,7 +376,6 @@ fn route_hot_path() {
             .unwrap()
         });
     }
-    ncs_par::set_thread_override(None);
     report_artifact(&group.write_json());
 }
 
@@ -433,11 +387,10 @@ fn route_hot_path() {
 /// CG reference on the same hybrid mapping, with final HPWL and
 /// post-legalization overlap recorded as quality metrics
 /// (`scripts/check_bench_placer.py` gates speed and quality on this
-/// artifact). Serial medians (thread override pinned to 1); both swap
-/// paths accept exactly the same swaps — see `tests/determinism.rs`.
+/// artifact). Both swap paths accept exactly the same swaps — see
+/// `tests/determinism.rs`.
 fn place_hot_path() {
     println!("[bench] place");
-    ncs_par::set_thread_override(Some(1));
     let tech = TechnologyModel::nm45();
     let mut group = BenchGroup::new("place");
     engine_contest(&mut group, &tech);
@@ -470,7 +423,6 @@ fn place_hot_path() {
             p
         });
     }
-    ncs_par::set_thread_override(None);
     report_artifact(&group.write_json());
 }
 

@@ -56,17 +56,15 @@
 //! # Example
 //!
 //! ```
-//! // A chunked sum: same bits at any thread count, because the chunk
-//! // grid depends only on (len, grain) and partials fold in order.
-//! let xs: Vec<f64> = (0..1000).map(|i| (i as f64).sin()).collect();
-//! let total = ncs_par::par_map_reduce(
-//!     xs.len(),
-//!     128,
-//!     ncs_par::Cutoff::NONE,
-//!     |r| xs[r].iter().sum::<f64>(),
-//!     0.0,
-//!     |acc, part| acc + part,
-//! );
+//! // A chunked map: each chunk's partial comes back in chunk order, so
+//! // folding them gives the same bits at any thread count, because the
+//! // chunk grid depends only on (len, grain).
+//! let mut xs: Vec<f64> = (0..1000).map(|i| (i as f64).sin()).collect();
+//! let partials = ncs_par::par_chunks_mut(&mut xs, 128, ncs_par::Cutoff::NONE, |_, chunk| {
+//!     chunk.iter_mut().for_each(|x| *x *= 2.0);
+//!     chunk.iter().sum::<f64>()
+//! });
+//! let total: f64 = partials.iter().sum();
 //! let serial: f64 = ncs_par::chunk_ranges(xs.len(), 128)
 //!     .map(|r| xs[r].iter().sum::<f64>())
 //!     .sum();
@@ -275,23 +273,22 @@ fn join<R>(handle: thread::ScopedJoinHandle<'_, R>) -> R {
     }
 }
 
-/// Splits `0..chunks` into `workers` contiguous, ascending runs.
-fn worker_runs(chunks: usize, workers: usize) -> impl Iterator<Item = Range<usize>> {
-    (0..workers).map(move |w| (w * chunks / workers)..((w + 1) * chunks / workers))
-}
-
 /// The element-range claim table of a launch: worker `w` owns
-/// `claims[w]`. This single table both feeds the `split_at_mut` loop
-/// and is what the shadow-access checker verifies, so the ranges the
-/// checker approves are exactly the ranges the workers receive.
+/// `claims[w]`, a contiguous, ascending run of whole chunks. This single
+/// table both feeds the `split_at_mut` loop and is what the
+/// shadow-access checker verifies, so the ranges the checker approves
+/// are exactly the ranges the workers receive.
 fn worker_elem_claims(
     chunks: usize,
     workers: usize,
     grain: usize,
     len: usize,
 ) -> Vec<Range<usize>> {
-    worker_runs(chunks, workers)
-        .map(|run| (run.start * grain).min(len)..(run.end * grain).min(len))
+    (0..workers)
+        .map(|w| {
+            let (first, end) = (w * chunks / workers, (w + 1) * chunks / workers);
+            (first * grain).min(len)..(end * grain).min(len)
+        })
         .collect()
 }
 
@@ -358,92 +355,15 @@ where
     per_worker.into_iter().flatten().collect()
 }
 
-/// Maps every chunk range of `0..len` through `map` and folds the
-/// per-chunk partials **sequentially, in ascending chunk order**.
-///
-/// Because `map` sees only the chunk range (whose layout is a function
-/// of `(len, grain)`) and the fold is an ordered serial pass on the
-/// calling thread, the result is bit-identical at any thread count and
-/// on either side of the `cutoff` (measured in items of `0..len`) —
-/// the inline path maps the same chunks in the same order.
-pub fn par_map_reduce<A, B, M, F>(
-    len: usize,
-    grain: usize,
-    cutoff: Cutoff,
-    map: M,
-    init: B,
-    mut fold: F,
-) -> B
-where
-    A: Send,
-    M: Fn(Range<usize>) -> A + Sync,
-    F: FnMut(B, A) -> B,
-{
-    let grain = grain.max(1);
-    let chunks = chunk_count(len, grain);
-    let workers = launch_workers(len, chunks, cutoff);
-    if workers <= 1 {
-        let mut acc = init;
-        for r in chunk_ranges(len, grain) {
-            acc = fold(acc, map(r));
-        }
-        return acc;
-    }
-    let mut per_worker: Vec<Vec<A>> = Vec::with_capacity(workers);
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for run in worker_runs(chunks, workers) {
-            let mref = &map;
-            handles.push(scope.spawn(move || {
-                run.map(|c| mref((c * grain)..((c + 1) * grain).min(len)))
-                    .collect::<Vec<A>>()
-            }));
-        }
-        for h in handles {
-            per_worker.push(join(h));
-        }
-    });
-    let mut acc = init;
-    for a in per_worker.into_iter().flatten() {
-        acc = fold(acc, a);
-    }
-    acc
-}
-
 /// Maps every item of `items` through `f`, returning results in item
-/// order (slot `i` always holds `f(i, &items[i])`).
+/// order (slot `i` always holds `f(i, &items[i])`). Workers claim items
+/// one at a time from an atomic next-item counter, then results are
+/// reassembled in item order.
 ///
-/// `grain` controls load balance only: each worker takes a contiguous
-/// run of chunks. Results never depend on the thread count (or on
-/// which side of the `cutoff` the launch lands) as long as `f` is a
-/// pure function of its arguments.
-pub fn par_map<T, R, F>(items: &[T], grain: usize, cutoff: Cutoff, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_reduce(
-        items.len(),
-        grain,
-        cutoff,
-        |r| r.map(|i| f(i, &items[i])).collect::<Vec<R>>(),
-        Vec::with_capacity(items.len()),
-        |mut acc, mut part| {
-            acc.append(&mut part);
-            acc
-        },
-    )
-}
-
-/// Work-queue variant of [`par_map`]: workers claim items one at a
-/// time from an atomic next-item counter instead of taking fixed
-/// contiguous runs, then results are reassembled in item order.
-///
-/// This is the right shape when per-item cost varies wildly (the
-/// router's speculative net plans: one net may search a huge window
-/// while seven are trivial) — a straggler item no longer delays claims
-/// of the items after it. The *claim order* is scheduling-dependent,
+/// This is the right shape when per-item cost varies wildly (the flow
+/// service's distinct cache misses: one may be a full `implement` while
+/// the rest are cheap) — a straggler item does not delay claims of the
+/// items after it. The *claim order* is scheduling-dependent,
 /// but each result is keyed by its item index and sorted before
 /// returning, so as long as `f` is a pure function of `(i, &items[i])`
 /// the output is identical to the serial `items.iter().map(...)` pass
@@ -831,64 +751,29 @@ mod tests {
     }
 
     #[test]
-    fn par_map_reduce_is_bit_identical_across_thread_counts() {
-        let xs: Vec<f64> = (0..997).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let sum_at = |t: usize| {
-            with_override(t, || {
-                par_map_reduce(
-                    xs.len(),
-                    64,
-                    Cutoff::NONE,
-                    |r| xs[r].iter().sum::<f64>(),
-                    0.0f64,
-                    |acc, p| acc + p,
-                )
-            })
-        };
-        let reference = sum_at(1);
-        for t in [2, 3, 7] {
-            assert_eq!(sum_at(t).to_bits(), reference.to_bits());
-        }
-        // And the serial path is exactly the ordered chunk fold.
-        let by_hand: f64 = chunk_ranges(xs.len(), 64)
-            .map(|r| xs[r].iter().sum::<f64>())
-            .sum();
-        assert_eq!(reference.to_bits(), by_hand.to_bits());
-    }
-
-    #[test]
     fn cutoff_sides_are_bit_identical() {
         // The same launch, forced inline by a huge cutoff vs dispatched
         // with none, must agree to the bit at an oversubscribed count.
         let xs: Vec<f64> = (0..2048).map(|i| (i as f64).cos() / 3.0).collect();
         let run = |cutoff: Cutoff| {
-            with_override(4, || {
-                par_map_reduce(
-                    xs.len(),
-                    32,
-                    cutoff,
-                    |r| xs[r].iter().sum::<f64>(),
-                    0.0f64,
-                    |acc, p| acc + p,
-                )
-            })
+            let mut data = xs.clone();
+            let partials = with_override(4, || {
+                par_chunks_mut(&mut data, 32, cutoff, |_, chunk| {
+                    for x in chunk.iter_mut() {
+                        *x = x.sin();
+                    }
+                    chunk.iter().sum::<f64>()
+                })
+            });
+            let total = partials.iter().fold(0.0f64, |acc, p| acc + p);
+            (
+                total.to_bits(),
+                data.iter().map(|x| x.to_bits()).collect::<Vec<u64>>(),
+            )
         };
         let inline = run(Cutoff::min_work(usize::MAX));
         let pooled = run(Cutoff::NONE);
-        assert_eq!(inline.to_bits(), pooled.to_bits());
-    }
-
-    #[test]
-    fn par_map_preserves_item_order() {
-        let items: Vec<usize> = (0..57).collect();
-        for t in [1, 4] {
-            let out = with_override(t, || par_map(&items, 5, Cutoff::NONE, |i, &x| (i, x * x)));
-            assert_eq!(out.len(), items.len());
-            for (i, (slot, sq)) in out.iter().enumerate() {
-                assert_eq!(*slot, i);
-                assert_eq!(*sq, i * i);
-            }
-        }
+        assert_eq!(inline, pooled);
     }
 
     #[test]
@@ -923,27 +808,13 @@ mod tests {
         let run = |t: usize| {
             set_thread_override(Some(t));
             let ((), events) = ncs_trace::capture(|| {
+                let mut data = vec![1.0f64; 4096];
                 // Engages: plenty of work, no cutoff.
-                par_map_reduce(
-                    4096,
-                    64,
-                    Cutoff::NONE,
-                    |r| r.len() as f64,
-                    0.0f64,
-                    |a, p| a + p,
-                );
+                par_chunks_mut(&mut data, 64, Cutoff::NONE, |_, c| c.len());
                 // Falls back: below a huge cutoff.
-                par_map_reduce(
-                    4096,
-                    64,
-                    Cutoff::min_work(usize::MAX),
-                    |r| r.len() as f64,
-                    0.0f64,
-                    |a, p| a + p,
-                );
-                // Falls back: a single chunk can't use a pool.
-                let mut one = [0.0f64; 3];
-                par_chunks_mut(&mut one, 8, Cutoff::NONE, |_, _| ());
+                par_chunks_mut(&mut data, 64, Cutoff::min_work(usize::MAX), |_, c| c.len());
+                // Falls back: a single item can't use a pool.
+                par_map_queue(&[1u8], Cutoff::NONE, |_, &x| x);
             });
             set_thread_override(None);
             events
@@ -1126,13 +997,12 @@ mod tests {
     fn empty_inputs_are_fine() {
         let mut empty: [f64; 0] = [];
         assert!(par_chunks_mut(&mut empty, 4, Cutoff::NONE, |_, _| 0).is_empty());
-        assert_eq!(
-            par_map_reduce(0, 4, Cutoff::NONE, |_| 1.0f64, 7.0f64, |a, b| a + b).to_bits(),
-            7.0f64.to_bits()
-        );
-        let none: [u8; 0] = [];
-        assert!(par_map(&none, 4, Cutoff::NONE, |_, &x| x).is_empty());
         let empty_q: [u8; 0] = [];
         assert!(par_map_queue(&empty_q, Cutoff::NONE, |_, &x| x).is_empty());
+        let mut rows: [f64; 0] = [];
+        let results = team_split_mut(&mut rows, 1, 4, Cutoff::NONE, |ctx, mine| {
+            (ctx.total_items, mine.len())
+        });
+        assert_eq!(results, vec![(0, 0)]);
     }
 }

@@ -18,19 +18,16 @@
 //! smoothing): an uninflated cell strictly inside one bin would have a
 //! zero density gradient and never feel spreading pressure.
 //!
-//! Determinism: the bin field is accumulated by cell chunks whose
-//! partial fields fold in ascending chunk order, and the gradient sweep
-//! writes only to each cell's own slots — both bit-identical at any
-//! `NCS_THREADS`.
+//! The bin field is accumulated by cell chunks whose partial fields
+//! fold in ascending chunk order; the chunk grid is part of the numeric
+//! contract. The gradient sweep writes only to each cell's own slots.
 
 use crate::Netlist;
 
-/// Cells per chunk of the parallel field/gradient sweeps. Fixed — part
-/// of the numeric contract, never derived from the thread count.
+/// Cells per chunk of the field deposit. Fixed — part of the numeric
+/// contract: each chunk deposits into its own partial field, and the
+/// partials fold in ascending chunk order.
 const DENSITY_GRID_GRAIN: usize = 256;
-
-/// Minimum cells before the density sweeps fan out to the ncs-par pool.
-const DENSITY_GRID_MIN_ITEMS: usize = 4 * DENSITY_GRID_GRAIN;
 
 /// Virtual-inflation floor in units of bin width: cells narrower than
 /// this many bins are widened (density-conserving) so they always
@@ -174,8 +171,8 @@ impl DensityGrid {
     /// Evaluates the density penalty at `p = [x..., y...]` and, when
     /// `grad` is given, accumulates `∂D/∂p` into it (same layout).
     ///
-    /// Cost: one O(n·bins-per-cell) deposit sweep (chunk-parallel,
-    /// folded in chunk order), one O(m²) coefficient pass, and — with a
+    /// Cost: one O(n·bins-per-cell) deposit sweep (chunked, folded in
+    /// chunk order), one O(m²) coefficient pass, and — with a
     /// gradient — one more O(n·bins-per-cell) sweep writing only each
     /// cell's own slots.
     pub fn evaluate(&mut self, p: &[f64], grad: Option<&mut [f64]>) -> DensityEval {
@@ -214,32 +211,20 @@ impl DensityGrid {
     }
 
     /// Rebuilds the per-bin deposited-area field from cell centres.
+    // ncs-lint: hot
     fn deposit(&mut self, xs: &[f64], ys: &[f64]) {
         let n = self.extents.len();
-        let bins = self.cols * self.rows;
-        let grid = &*self;
-        let cutoff = ncs_par::Cutoff::min_work(DENSITY_GRID_MIN_ITEMS);
-        let partials = ncs_par::par_map_reduce(
-            n,
-            DENSITY_GRID_GRAIN,
-            cutoff,
-            // ncs-lint: hot
-            |r| {
-                let mut local = vec![0.0; bins];
-                for i in r {
-                    grid.splat(i, xs[i], ys[i], &mut local);
-                }
-                local
-            },
-            vec![0.0; bins],
-            |mut acc, local| {
-                for (a, l) in acc.iter_mut().zip(&local) {
-                    *a += l;
-                }
-                acc
-            },
-        );
-        self.field.copy_from_slice(&partials);
+        let mut local = vec![0.0; self.field.len()];
+        self.field.fill(0.0);
+        for start in (0..n).step_by(DENSITY_GRID_GRAIN) {
+            local.fill(0.0);
+            for i in start..(start + DENSITY_GRID_GRAIN).min(n) {
+                self.splat(i, xs[i], ys[i], &mut local);
+            }
+            for (a, l) in self.field.iter_mut().zip(&local) {
+                *a += l;
+            }
+        }
     }
 
     /// Deposits cell `i`'s inflated rectangle into `field`.
@@ -289,14 +274,11 @@ impl DensityGrid {
     }
 
     /// Gradient sweep: each cell's (gx, gy) computed independently and
-    /// written to its own slots in `grad` (layout `[∂x..., ∂y...]`).
+    /// added to its own slots in `grad` (layout `[∂x..., ∂y...]`).
     fn gradient(&self, xs: &[f64], ys: &[f64], grad: &mut [f64]) {
         let n = self.extents.len();
-        let cutoff = ncs_par::Cutoff::min_work(DENSITY_GRID_MIN_ITEMS);
-        let parts = ncs_par::par_map(xs, DENSITY_GRID_GRAIN, cutoff, |i, &x| {
-            self.grad_cell(i, x, ys[i])
-        });
-        for (i, (gx, gy)) in parts.into_iter().enumerate() {
+        for i in 0..n {
+            let (gx, gy) = self.grad_cell(i, xs[i], ys[i]);
             grad[i] += gx;
             grad[n + i] += gy;
         }
@@ -493,25 +475,6 @@ mod tests {
             e0.penalty,
             e1.penalty
         );
-    }
-
-    #[test]
-    fn evaluation_is_bit_identical_across_thread_counts() {
-        let nl = mixed_netlist();
-        let n = nl.cells.len();
-        let p = jittered_positions(n, 12.0, 29);
-        let run = |threads: usize| {
-            ncs_par::set_thread_override(Some(threads));
-            let mut grid = DensityGrid::new(&nl, &p[..n], &p[n..], 1.2, 0.9, 8);
-            let mut grad = vec![0.0; 2 * n];
-            let eval = grid.evaluate(&p, Some(&mut grad));
-            ncs_par::set_thread_override(None);
-            (
-                eval.penalty.to_bits(),
-                grad.iter().map(|g| g.to_bits()).collect::<Vec<u64>>(),
-            )
-        };
-        assert_eq!(run(1), run(4));
     }
 
     #[test]

@@ -23,8 +23,7 @@ pub enum PlaceAlgorithm {
     /// evaluation), a single Nesterov loop with inverse-Lipschitz steps
     /// and a Jacobi preconditioner, and a deterministic macro-Tetris +
     /// Abacus-row legalizer. Same wirelength model, same netlists,
-    /// bit-identical across `NCS_THREADS` — but not bit-compatible with
-    /// the reference.
+    /// deterministic — but not bit-compatible with the reference.
     Nesterov,
 }
 
@@ -722,36 +721,55 @@ fn initial_grid(netlist: &Netlist, omega: f64) -> (Vec<f64>, Vec<f64>) {
     (xs, ys)
 }
 
-/// Wires per chunk of the parallel wirelength evaluation. The chunk grid
-/// is part of the numeric contract: partial sums and per-chunk gradient
-/// scratch fold in ascending chunk order on every path, so results are
-/// bit-identical at any thread count.
+/// Wires per chunk of the wirelength evaluation. The chunk grid is part
+/// of the numeric contract: each chunk sums its terms and gradient
+/// contributions on its own, and the partials fold in ascending chunk
+/// order, so changing the grain changes result bits.
 const WL_GRAIN: usize = 64;
 
-/// Cells per chunk of the parallel density evaluation (same contract as
+/// Cells per chunk of the density evaluation (same contract as
 /// [`WL_GRAIN`]).
 const DENSITY_GRAIN: usize = 64;
 
-/// Minimum items (wires or cells) before a gradient evaluation fans out
-/// to the [`ncs_par`] pool: below a few chunks' worth, the per-chunk
-/// `2n` scratch allocations plus dispatch cost more than the math. The
-/// gradient calls sit inside every CG iteration, so small placements
-/// used to pay this dispatch thousands of times per anneal.
-const GRAD_MIN_ITEMS: usize = 4 * WL_GRAIN;
+/// Evaluates `chunk` over `items` in fixed `grain`-sized chunks and
+/// folds the partials in chunk order: the returned total is the sum of
+/// the chunk totals, and with `grad` each chunk scatters into zeroed
+/// scratch that is then added into `grad` slot by slot.
+fn fold_chunks<T>(
+    items: &[T],
+    grain: usize,
+    grad: Option<&mut [f64]>,
+    chunk: impl Fn(&[T], Option<&mut [f64]>) -> f64,
+) -> f64 {
+    let mut total = 0.0;
+    match grad {
+        Some(g) => {
+            let mut scratch = vec![0.0; g.len()];
+            for part in items.chunks(grain) {
+                scratch.fill(0.0);
+                total += chunk(part, Some(&mut scratch));
+                for (slot, s) in g.iter_mut().zip(&scratch) {
+                    *slot += s;
+                }
+            }
+        }
+        None => {
+            for part in items.chunks(grain) {
+                total += chunk(part, None);
+            }
+        }
+    }
+    total
+}
 
 /// Weighted-average wirelength (Eq. 1) over all wires; optionally
 /// accumulates the gradient into `grad` (layout `[∂x..., ∂y...]`).
-///
-/// Wire chunks fan out across the ncs-par team; each chunk scatters its
-/// gradient into private scratch, folded sequentially in chunk order.
 fn wa_wirelength(netlist: &Netlist, p: &[f64], gamma: f64, grad: Option<&mut [f64]>) -> f64 {
     let n = netlist.cells.len();
     let (xs, ys) = p.split_at(n);
-    let wires = &netlist.wires;
-    let chunk = |r: std::ops::Range<usize>, scratch: Option<&mut [f64]>| -> f64 {
-        let mut scratch = scratch;
+    fold_chunks(&netlist.wires, WL_GRAIN, grad, |wires, mut scratch| {
         let mut total = 0.0;
-        for wire in &wires[r] {
+        for wire in wires {
             for (coords, offset) in [(xs, 0usize), (ys, n)] {
                 let (span, derivs) = wa_span(&wire.pins, coords, gamma);
                 total += wire.weight * span;
@@ -763,35 +781,7 @@ fn wa_wirelength(netlist: &Netlist, p: &[f64], gamma: f64, grad: Option<&mut [f6
             }
         }
         total
-    };
-    let cutoff = ncs_par::Cutoff::min_work(GRAD_MIN_ITEMS);
-    match grad {
-        Some(g) => ncs_par::par_map_reduce(
-            wires.len(),
-            WL_GRAIN,
-            cutoff,
-            |r| {
-                let mut scratch = vec![0.0; 2 * n];
-                let t = chunk(r, Some(&mut scratch));
-                (t, scratch)
-            },
-            0.0,
-            |acc, (t, scratch)| {
-                for (slot, s) in g.iter_mut().zip(&scratch) {
-                    *slot += s;
-                }
-                acc + t
-            },
-        ),
-        None => ncs_par::par_map_reduce(
-            wires.len(),
-            WL_GRAIN,
-            cutoff,
-            |r| chunk(r, None),
-            0.0,
-            |a, t| a + t,
-        ),
-    }
+    })
 }
 
 /// WA smooth max-minus-min of one coordinate over a pin set, with per-pin
@@ -852,9 +842,8 @@ fn density(netlist: &Netlist, p: &[f64], omega: f64, grad: Option<&mut [f64]>) -
         .fold(0.0_f64, f64::max)
         * omega;
     let bucket = max_ext.max(1.0);
-    // The spatial hash is built serially (it is cheap and order-sensitive);
-    // the pair sweep below then fans out over outer-cell chunks, each
-    // pair charged to the chunk owning its smaller index `i`.
+    // The pair sweep runs over outer-cell chunks, each pair charged to
+    // the chunk owning its smaller index `i`.
     let mut hash: std::collections::BTreeMap<(i64, i64), Vec<CellId>> =
         std::collections::BTreeMap::new();
     for cell in &netlist.cells {
@@ -864,11 +853,9 @@ fn density(netlist: &Netlist, p: &[f64], omega: f64, grad: Option<&mut [f64]>) -
         );
         hash.entry(key).or_default().push(cell.id);
     }
-    let hash = &hash;
-    let chunk = |r: std::ops::Range<usize>, scratch: Option<&mut [f64]>| -> f64 {
-        let mut scratch = scratch;
+    fold_chunks(&netlist.cells, DENSITY_GRAIN, grad, |cells, mut scratch| {
         let mut total = 0.0;
-        for cell in &netlist.cells[r] {
+        for cell in cells {
             let i = cell.id;
             let kx = (xs[i] / bucket).floor() as i64;
             let ky = (ys[i] / bucket).floor() as i64;
@@ -906,35 +893,7 @@ fn density(netlist: &Netlist, p: &[f64], omega: f64, grad: Option<&mut [f64]>) -
             }
         }
         total
-    };
-    let cutoff = ncs_par::Cutoff::min_work(GRAD_MIN_ITEMS);
-    match grad {
-        Some(g) => ncs_par::par_map_reduce(
-            n,
-            DENSITY_GRAIN,
-            cutoff,
-            |r| {
-                let mut scratch = vec![0.0; 2 * n];
-                let t = chunk(r, Some(&mut scratch));
-                (t, scratch)
-            },
-            0.0,
-            |acc, (t, scratch)| {
-                for (slot, s) in g.iter_mut().zip(&scratch) {
-                    *slot += s;
-                }
-                acc + t
-            },
-        ),
-        None => ncs_par::par_map_reduce(
-            n,
-            DENSITY_GRAIN,
-            cutoff,
-            |r| chunk(r, None),
-            0.0,
-            |a, t| a + t,
-        ),
-    }
+    })
 }
 
 /// Exact total pairwise rectangle-overlap area.

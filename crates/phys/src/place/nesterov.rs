@@ -12,10 +12,10 @@
 //! evolve together.
 //!
 //! Determinism: the gradient evaluations delegate to
-//! [`super::wa_wirelength`] and [`DensityGrid::evaluate`] (both
-//! bit-identical at any `NCS_THREADS`); everything else in the loop is
-//! serial index-order vector arithmetic. The engine is therefore
-//! bit-identical across thread counts — the determinism suite pins it.
+//! [`super::wa_wirelength`] and [`DensityGrid::evaluate`] (both folding
+//! fixed chunk grids in order); everything else in the loop is
+//! index-order vector arithmetic. The determinism suite pins the
+//! engine's output bit for bit.
 
 use crate::{Netlist, Placement};
 

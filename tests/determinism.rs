@@ -512,33 +512,6 @@ fn eigensolver_is_bit_identical_across_its_cutoff_boundary() {
 }
 
 #[test]
-fn csr_matvec_is_bit_identical_across_its_cutoff_boundary() {
-    use ncs_linalg::{CsrMatrix, Triplet};
-    // matvec engages at ~4096 nnz: the dense 50x50 (2500 nnz) stays
-    // inline, the dense 80x80 (6400 nnz) dispatches.
-    for n in [50usize, 80] {
-        let vals = lcg_data(0xabcd ^ n as u64, n * n);
-        let triplets: Vec<Triplet> = (0..n * n)
-            .map(|i| Triplet {
-                row: i / n,
-                col: i % n,
-                value: vals[i],
-            })
-            .collect();
-        let m = CsrMatrix::from_triplets(n, n, &triplets).expect("valid triplets");
-        let x = lcg_data(0x77 ^ n as u64, n);
-        let run = || m.matvec(&x).expect("matvec succeeds");
-        let serial = with_thread_override(1, run);
-        let pooled = with_thread_override(4, run);
-        assert_eq!(
-            f64_bits(&serial),
-            f64_bits(&pooled),
-            "csr matvec bits diverged across thread counts at n = {n}"
-        );
-    }
-}
-
-#[test]
 fn dense_matmul_is_bit_identical_across_its_cutoff_boundary() {
     use ncs_linalg::DenseMatrix;
     // matmul engages at rows*ocols*inner >= 32768: 20^3 = 8000 stays

@@ -90,3 +90,29 @@ fn table_1_reductions_hold_in_direction_and_rough_magnitude() {
     // Table 1's scalability observation: area reduction grows with the
     // scale of the NCS (21.3% -> 29.5% -> 45.1% in the paper).
 }
+
+#[test]
+#[ignore = "full-scale run; use cargo test --release -- --ignored"]
+fn isc_maps_the_seeds_where_tql2_stalls() {
+    // ISC must map every paper testbench, not only the seed-42 ones. On
+    // these seeds the QL iteration in the dense eigensolver fails to
+    // converge: a tridiagonal block whose entries are ~1e-114…1e-80
+    // never passes the local deflation test |e[m]| ≤ ε·(|d[m]|+|d[m+1]|)
+    // while the matrix norm is ~2.
+    let seeds: [(usize, &[u64]); 2] = [(1, &[19, 28, 29, 35]), (2, &[4, 9, 24])];
+    let framework = AutoNcs::new();
+    let mut failures = Vec::new();
+    for (id, tb_seeds) in seeds {
+        for &seed in tb_seeds {
+            let tb = Testbench::paper(id, seed).unwrap();
+            if let Err(e) = framework.map(tb.network()) {
+                failures.push(format!("tb{id} seed {seed}: {e}"));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "mapping failed:\n{}",
+        failures.join("\n")
+    );
+}
