@@ -12,7 +12,7 @@
 //!   flow              end-to-end AutoNCS vs FullCro pipeline (Table 1)
 //!   hopfield          train / sparsify / recall at testbench scales
 //!   linalg            dense eigensolver, spectral embedding, CG minimizer
-//!   par               serial-vs-parallel speedups of the ncs-par kernels
+//!   par               serial-vs-parallel speedup of the dense eigensolver team
 //!   physical_design   placement (autoncs vs fullcro) and maze routing
 //!   place             incremental detailed swap vs full-recompute reference
 //!   route             windowed A* router vs full-grid Dijkstra reference
@@ -29,8 +29,8 @@
 use autoncs::AutoNcs;
 use ncs_bench::{report_artifact, testbench, BenchGroup, SEED};
 use ncs_cluster::{
-    full_crossbar, gcp, kmeans, msc, spectral_embedding, traversing, CompressionOptions,
-    GcpOptions, GroupDeletionOptions, Isc, IscOptions,
+    full_crossbar, gcp, msc, spectral_embedding, traversing, CompressionOptions, GcpOptions,
+    GroupDeletionOptions, Isc, IscOptions,
 };
 use ncs_linalg::optimize::{minimize, CgOptions};
 use ncs_linalg::{DenseMatrix, SymmetricEigen};
@@ -253,8 +253,9 @@ fn linalg() {
     report_artifact(&group.write_json());
 }
 
-/// Serial-vs-parallel speedups of the kernels behind the deterministic
-/// parallel layer (`ncs-par`). Each kernel is timed with the thread
+/// Serial-vs-parallel speedup of the dense eigensolver's tred2/tql2
+/// team, the one compute kernel that fans out over the deterministic
+/// parallel layer (`ncs-par`). It is timed with the thread
 /// override pinned to 1 (the true serial code path) and at 4 workers;
 /// `results/BENCH_par.json` records both medians, the speedup factor,
 /// and `hardware_threads`. On a single-core host the factor hovers at or
@@ -288,22 +289,6 @@ fn par() {
     }
     group.bench_speedup("symmetric_eigen/192", threads, || {
         SymmetricEigen::new(&a).unwrap()
-    });
-
-    // K-means assignment: n*k*dim = 2048*16*8 clears the threshold.
-    let pts = {
-        let npts = 2048;
-        let dim = 8;
-        let mut data = Vec::with_capacity(npts * dim);
-        let mut s = 3u64;
-        for _ in 0..npts * dim {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-            data.push(((s >> 33) as f64 / (1u64 << 31) as f64) - 0.5);
-        }
-        DenseMatrix::from_vec(npts, dim, data).unwrap()
-    };
-    group.bench_speedup("kmeans/2048x8", threads, || {
-        kmeans(&pts, 16, SEED, 30).unwrap()
     });
 
     report_artifact(&group.write_json());

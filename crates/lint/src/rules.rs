@@ -98,10 +98,10 @@ const CRATE_LAYERS: &[(&str, &[&str])] = &[
     ("linalg", &["par", "trace", "rng"]),
     ("net", &["linalg", "rng"]),
     ("xbar", &["linalg", "rng"]),
-    ("cluster", &["linalg", "net", "rng", "par", "trace"]),
+    ("cluster", &["linalg", "net", "rng", "trace"]),
     (
         "phys",
-        &["par", "trace", "linalg", "tech", "cluster", "net", "rng"],
+        &["trace", "linalg", "tech", "cluster", "net", "rng"],
     ),
     (
         "serve",
@@ -112,7 +112,7 @@ const CRATE_LAYERS: &[(&str, &[&str])] = &[
     (
         "core",
         &[
-            "par", "trace", "linalg", "tech", "cluster", "net", "xbar", "rng", "phys", "serve",
+            "trace", "linalg", "tech", "cluster", "net", "xbar", "rng", "phys", "serve",
         ],
     ),
     (

@@ -196,6 +196,18 @@ fn golden_crate_layering() {
 }
 
 #[test]
+fn golden_crate_layering_keeps_par_out_of_cluster() {
+    // Clustering runs serially: `ncs-cluster` has no `ncs-par` edge.
+    assert_eq!(
+        rendered("crates/cluster/src/par_layering.rs"),
+        [
+            "crates/cluster/src/par_layering.rs:5:1: [crate-layering] crate `cluster` may not \
+             import `ncs_par`: back-edge in the crate DAG (allowed: linalg, net, rng, trace)",
+        ]
+    );
+}
+
+#[test]
 fn golden_alloc_in_hot_loop() {
     // The identical loop in unmarked `cold` must NOT appear.
     assert_eq!(
@@ -322,6 +334,7 @@ fn cli_violation_fixtures_exit_nonzero() {
         "violations_env.rs",
         "violations_hot_alloc.rs",
         "crates/net/src/bad_layering.rs",
+        "crates/cluster/src/par_layering.rs",
     ] {
         let out = lint_cmd()
             .arg(fixture_dir().join(fixture))

@@ -9,6 +9,12 @@
 //! setting. The single-thread case never spawns: it runs the identical
 //! chunk/fold structure inline on the calling thread.
 //!
+//! Two places in the workspace fan out: the dense eigensolver's
+//! tred2/tql2 team in `ncs-linalg` (the one compute kernel measured to
+//! pay on a second core) and the flow service's miss queue in
+//! `ncs-serve` ([`par_map_queue`]). Clustering, placement, routing and
+//! the sparse matvec run on the calling thread.
+//!
 //! # Serial cutoffs
 //!
 //! Pool dispatch costs tens of microseconds; a small kernel loses more

@@ -44,14 +44,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod anneal;
 mod cost;
 mod error;
 mod netlist;
 mod place;
 mod route;
 
-pub use anneal::{place_annealed, AnnealOptions};
 pub use cost::{CostWeights, PhysicalCost};
 pub use error::PhysError;
 pub use netlist::{Cell, CellId, Netlist, Wire, WireId};

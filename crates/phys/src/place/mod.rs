@@ -334,8 +334,18 @@ fn place_cg_reference(netlist: &Netlist, options: &PlacerOptions) -> Placement {
     }
     ncs_trace::record("place.outer_iterations", outer as u64);
 
-    // Line 7: process the remaining overlap, then normalize.
-    finalize_placement(netlist, xs, ys, options.legalizer_passes, outer)
+    // Line 7: mixed-size legalization (crossbar macros pushed apart and
+    // compacted, small cells gap-filled — the topology of the paper's
+    // Figure 10(c)), then normalize to the positive quadrant.
+    legalize_mixed_size(netlist, &mut xs, &mut ys, options.legalizer_passes);
+    shift_to_positive_quadrant(netlist, &mut xs, &mut ys);
+    let final_overlap = overlap_area(netlist, &xs, &ys);
+    Placement {
+        x: xs,
+        y: ys,
+        outer_iterations: outer,
+        final_overlap_um2: final_overlap,
+    }
 }
 
 /// λ0 = Σ|∂WL| / Σ|∂D|, or `None` when there is no density gradient to
@@ -658,28 +668,6 @@ pub fn detailed_swap_reference(netlist: &Netlist, placement: &mut Placement, pas
         if !improved {
             break;
         }
-    }
-}
-
-/// Shared epilogue of both placers (analytical and annealing): mixed-size
-/// legalization (crossbar macros pushed apart and compacted, small cells
-/// gap-filled — the topology of the paper's Figure 10(c)), then a shift to
-/// the positive quadrant.
-pub(crate) fn finalize_placement(
-    netlist: &Netlist,
-    mut xs: Vec<f64>,
-    mut ys: Vec<f64>,
-    legalizer_passes: usize,
-    outer_iterations: usize,
-) -> Placement {
-    legalize_mixed_size(netlist, &mut xs, &mut ys, legalizer_passes);
-    shift_to_positive_quadrant(netlist, &mut xs, &mut ys);
-    let final_overlap = overlap_area(netlist, &xs, &ys);
-    Placement {
-        x: xs,
-        y: ys,
-        outer_iterations,
-        final_overlap_um2: final_overlap,
     }
 }
 

@@ -1,7 +1,7 @@
 //! Deterministic pseudo-random numbers for the AutoNCS reproduction.
 //!
 //! Every stochastic algorithm in the framework — pattern generation,
-//! k-means++ seeding, simulated annealing, crossbar process variation —
+//! k-means++ seeding, crossbar process variation —
 //! takes an explicit `u64` seed and must produce bit-identical results on
 //! every platform and every release, because the paper's tables and the
 //! perf trajectory are regenerated from those seeds. This crate supplies

@@ -20,10 +20,10 @@
 //!
 //! Events land in a **per-thread** sink in call order. Instrumentation in
 //! this workspace sits exclusively on *serial control paths* — never
-//! inside `ncs_par` worker closures (the eigensolver team, k-means
-//! assignment, mat-mul, the MSC Laplacian build and the flow service's
-//! miss queue; placement, routing and the sparse matvec run on the
-//! calling thread). `ncs_par` itself emits its
+//! inside `ncs_par` worker closures (the eigensolver team and the flow
+//! service's miss queue, the only fan-outs; clustering, placement,
+//! routing and the sparse matvec run on the calling thread). `ncs_par`
+//! itself emits its
 //! `par.pool_dispatches` / `par.inline_fallbacks` counters from the
 //! calling thread, and its dispatch decisions are pure functions of
 //! problem size) — so the stream a flow run produces

@@ -184,13 +184,13 @@ fn trace_event_stream_is_golden_at_the_pinned_seed() {
     assert_eq!(
         counters,
         vec![
-            // The par-layer cutoff decisions surface first: the ISC
-            // Laplacian build dispatches (n² entries clear its floor)
-            // before the first GCP counter, and the eigensolver teams
-            // fall back inline at this testbench size (120³ < the
-            // eigensolver's 128³ work floor). Both are pure functions
-            // of the problem size, never of NCS_THREADS.
-            "par.pool_dispatches",
+            // The par-layer cutoff decision surfaces first: the
+            // eigensolver teams, the only fan-out on this path, fall
+            // back inline at this testbench size (120³ < the
+            // eigensolver's 128³ work floor) before the first GCP
+            // counter. The Laplacian build is a plain loop, so nothing
+            // dispatches. The decision is a pure function of the
+            // problem size, never of NCS_THREADS.
             "par.inline_fallbacks",
             "gcp.splits",
             "isc.iterations",
@@ -361,12 +361,12 @@ fn routing_order_is_unchanged_by_the_squared_distance_comparison() {
 }
 
 #[test]
-fn nesterov_placement_is_bit_identical_across_thread_counts() {
-    // The same thread-count contract for the second placement engine:
-    // the Nesterov flow — grid-binned density gradients, Lipschitz
-    // backtracking, row-based legalization — folds its gradient terms
-    // in chunk order, so every coordinate must come out bit-identical
-    // whether the ncs-par kernels run on one worker or four.
+fn nesterov_placement_is_bit_identical_across_runs() {
+    // The second placement engine is deterministic too: the Nesterov
+    // flow — grid-binned density gradients, Lipschitz backtracking,
+    // row-based legalization — folds its gradient terms in a fixed chunk
+    // order, so two placements of the same netlist agree in every
+    // coordinate bit.
     use ncs_phys::{place, PlaceAlgorithm, PlacerOptions};
     let tb = Testbench::from_spec(spec(), SEED).expect("valid spec");
     let framework = AutoNcs::fast();
@@ -376,26 +376,23 @@ fn nesterov_placement_is_bit_identical_across_thread_counts() {
         algorithm: PlaceAlgorithm::Nesterov,
         ..PlacerOptions::default()
     };
-    let place_at = |t: usize| {
-        with_thread_override(t, || place(netlist, &options).expect("placement succeeds"))
-    };
-    let serial = place_at(1);
-    let pooled = place_at(4);
+    let first = place(netlist, &options).expect("placement succeeds");
+    let second = place(netlist, &options).expect("placement succeeds");
     assert_eq!(
-        f64_bits(&serial.x),
-        f64_bits(&pooled.x),
-        "Nesterov x coordinates diverged between NCS_THREADS=1 and 4"
+        f64_bits(&first.x),
+        f64_bits(&second.x),
+        "Nesterov x coordinates diverged between two runs"
     );
     assert_eq!(
-        f64_bits(&serial.y),
-        f64_bits(&pooled.y),
-        "Nesterov y coordinates diverged between NCS_THREADS=1 and 4"
+        f64_bits(&first.y),
+        f64_bits(&second.y),
+        "Nesterov y coordinates diverged between two runs"
     );
     // And the engine did real work: the legalized result is overlap-free.
     assert!(
-        serial.final_overlap_um2 < 1e-6,
+        first.final_overlap_um2 < 1e-6,
         "the row-based legalizer must leave zero overlap, got {}",
-        serial.final_overlap_um2
+        first.final_overlap_um2
     );
 }
 
@@ -507,79 +504,6 @@ fn eigensolver_is_bit_identical_across_its_cutoff_boundary() {
             f64_bits(&serial),
             f64_bits(&pooled),
             "eigensolver bits diverged across thread counts at n = {n}"
-        );
-    }
-}
-
-#[test]
-fn dense_matmul_is_bit_identical_across_its_cutoff_boundary() {
-    use ncs_linalg::DenseMatrix;
-    // matmul engages at rows*ocols*inner >= 32768: 20^3 = 8000 stays
-    // inline, 40^3 = 64000 dispatches.
-    for n in [20usize, 40] {
-        let a = DenseMatrix::from_vec(n, n, lcg_data(0xa ^ n as u64, n * n)).expect("matrix a");
-        let b = DenseMatrix::from_vec(n, n, lcg_data(0xb ^ n as u64, n * n)).expect("matrix b");
-        let run = || a.matmul(&b).expect("matmul succeeds").as_slice().to_vec();
-        let serial = with_thread_override(1, run);
-        let pooled = with_thread_override(4, run);
-        assert_eq!(
-            f64_bits(&serial),
-            f64_bits(&pooled),
-            "matmul bits diverged across thread counts at n = {n}"
-        );
-    }
-}
-
-#[test]
-fn kmeans_is_bit_identical_across_its_cutoff_boundary() {
-    use ncs_cluster::kmeans;
-    use ncs_linalg::DenseMatrix;
-    // The assignment step engages at n*k*dim >= 16384; with k = 8 and
-    // dim = 4 that is n >= 512: 256 points stay inline, 1024 dispatch.
-    for n in [256usize, 1024] {
-        let dim = 4;
-        let pts = DenseMatrix::from_vec(n, dim, lcg_data(0x4b ^ n as u64, n * dim))
-            .expect("points matrix");
-        let run = || {
-            let r = kmeans(&pts, 8, SEED, 15).expect("kmeans succeeds");
-            (r.assignment, r.centroids.as_slice().to_vec(), r.inertia)
-        };
-        let (sa, sc, si) = with_thread_override(1, run);
-        let (pa, pc, pi) = with_thread_override(4, run);
-        assert_eq!(
-            sa, pa,
-            "kmeans assignment diverged across thread counts at n = {n}"
-        );
-        assert_eq!(
-            f64_bits(&sc),
-            f64_bits(&pc),
-            "kmeans centroid bits diverged across thread counts at n = {n}"
-        );
-        assert_eq!(
-            si.to_bits(),
-            pi.to_bits(),
-            "kmeans inertia bits diverged across thread counts at n = {n}"
-        );
-    }
-}
-
-#[test]
-fn msc_clustering_is_bit_identical_across_the_laplacian_cutoff() {
-    use ncs_cluster::msc;
-    use ncs_net::generators;
-    // The Laplacian assembly engages at n^2 >= 4096: a 50-neuron
-    // network (2500 entries) stays inline, an 80-neuron network (6400)
-    // dispatches. (The embedded eigensolver stays inline at both sizes,
-    // so this isolates the Laplacian boundary.)
-    for n in [50usize, 80] {
-        let net = generators::uniform_random(n, 0.1, SEED).expect("valid generator spec");
-        let k = n / 16;
-        let run = || msc(&net, k, SEED).expect("msc succeeds");
-        let serial = with_thread_override(1, run);
-        let pooled = with_thread_override(4, run);
-        assert_eq!(
-            serial, pooled,
-            "msc clustering diverged across thread counts at n = {n}"
         );
     }
 }
