@@ -414,8 +414,10 @@ fn place_hot_path() {
 /// The global-placement engine contest feeding `check_bench_placer.py`:
 /// both engines (analytic pass only, no detailed swaps) on the hybrid128
 /// mapping, plus the Nesterov engine alone on a 5k-neuron block-sparse
-/// mapping where the CG reference's O(n²) pairwise density is no longer
-/// reasonable to time. Quality numbers — final weighted HPWL and
+/// mapping (25,834 cells). The CG reference's density visits only
+/// interacting pairs, but its λ-doubling CG solves at that size are too
+/// slow to time here (one trial placement took 525 s on a 2-core
+/// x86-64 host). Quality numbers — final weighted HPWL and
 /// post-legalization overlap — are computed outside the timed loop and
 /// recorded as `metrics`; the 5k run also asserts the Abacus legalizer's
 /// structural zero-overlap contract at scale.

@@ -102,6 +102,11 @@ where
     let mut grad_norm = norm(&grad);
     let mut prev_grad = grad.clone();
     let mut step_hint = options.initial_step;
+    // Line-search buffers, reused across iterations: `trial` is copied
+    // from `x` and `trial_grad` is filled by the objective before either
+    // is read.
+    let mut trial = vec![0.0; n];
+    let mut trial_grad = vec![0.0; n];
 
     let mut iterations = 0;
     while iterations < options.max_iterations {
@@ -128,8 +133,6 @@ where
         // Armijo backtracking line search.
         let mut step = step_hint;
         let mut accepted = false;
-        let mut trial = vec![0.0; n];
-        let mut trial_grad = vec![0.0; n];
         let mut trial_value = value;
         for _ in 0..options.max_backtracks {
             trial.copy_from_slice(&x);

@@ -302,14 +302,14 @@ impl DensityGrid {
 
     /// Bin columns intersecting `[lo, hi]`, as a half-open range.
     fn span_cols(&self, lo: f64, hi: f64) -> (usize, usize) {
-        let c0 = (((lo - self.x0) / self.bin_w).floor().max(0.0)) as usize;
-        let c1 = ((((hi - self.x0) / self.bin_w).ceil()).max(0.0) as usize).min(self.cols);
+        let c0 = floor_index((lo - self.x0) / self.bin_w);
+        let c1 = ceil_index((hi - self.x0) / self.bin_w).min(self.cols);
         (c0.min(self.cols), c1)
     }
 
     fn span_rows(&self, lo: f64, hi: f64) -> (usize, usize) {
-        let r0 = (((lo - self.y0) / self.bin_h).floor().max(0.0)) as usize;
-        let r1 = ((((hi - self.y0) / self.bin_h).ceil()).max(0.0) as usize).min(self.rows);
+        let r0 = floor_index((lo - self.y0) / self.bin_h);
+        let r1 = ceil_index((hi - self.y0) / self.bin_h).min(self.rows);
         (r0.min(self.rows), r1)
     }
 
@@ -351,12 +351,58 @@ impl DensityGrid {
     }
 }
 
+/// `q.floor().max(0.0) as usize` without a libm `floor` call: the
+/// saturating cast already truncates non-negative values and sends
+/// negatives and NaN to 0.
+fn floor_index(q: f64) -> usize {
+    q as usize
+}
+
+/// `q.ceil().max(0.0) as usize` without a libm `ceil` call: truncate,
+/// then step up for a positive non-integer (saturating, NaN to 0).
+fn ceil_index(q: f64) -> usize {
+    let t = q as usize;
+    if (t as f64) < q {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Netlist;
     use ncs_cluster::{CrossbarAssignment, HybridMapping};
     use ncs_tech::TechnologyModel;
+
+    #[test]
+    fn bin_indices_match_floor_and_ceil_casts() {
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            3.999_999_999_999_999,
+            4.000_000_000_000_001,
+            9.007_199_254_740_993e15,
+            1.8e19,
+            1.9e19,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+        ];
+        cases.extend((0..2000).map(|k| (k as f64 - 1000.0) * 0.173));
+        for q in cases {
+            assert_eq!(floor_index(q), q.floor().max(0.0) as usize, "floor {q}");
+            assert_eq!(ceil_index(q), q.ceil().max(0.0) as usize, "ceil {q}");
+        }
+    }
 
     fn mixed_netlist() -> Netlist {
         let xbar = CrossbarAssignment::new(vec![0, 1, 2], vec![0, 1, 2], 16, vec![(0, 1), (1, 2)]);

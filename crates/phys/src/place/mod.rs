@@ -5,6 +5,8 @@ use crate::{CellId, Netlist, PhysError};
 mod density;
 mod legalize;
 mod nesterov;
+#[cfg(test)]
+mod oracle;
 
 pub use nesterov::NesterovOptions;
 
@@ -15,7 +17,8 @@ pub use nesterov::NesterovOptions;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlaceAlgorithm {
     /// The paper's Algorithm 4: λ-doubling outer loop, conjugate-gradient
-    /// inner solves, O(n²)-pair sigmoid density, push-apart legalization.
+    /// inner solves, pairwise sigmoid density over the interacting pairs
+    /// only (bucket-grid search), push-apart legalization.
     /// Bit-pinned by the determinism suite.
     #[default]
     CgReference,
@@ -303,6 +306,7 @@ fn place_cg_reference(netlist: &Netlist, options: &PlacerOptions) -> Placement {
         let gamma = options.gamma;
         let omega = options.omega;
         let lam = lambda;
+        let mut gd = vec![0.0; 2 * n];
         let result = minimize(
             |p, grad| {
                 grad.fill(0.0);
@@ -312,7 +316,7 @@ fn place_cg_reference(netlist: &Netlist, options: &PlacerOptions) -> Placement {
                     // Density pressure known absent: pure wirelength.
                     return wl;
                 }
-                let mut gd = vec![0.0; p.len()];
+                gd.fill(0.0);
                 let d = density(netlist, p, omega, Some(&mut gd[..]));
                 for (g, gd) in grad.iter_mut().zip(&gd) {
                     *g += lam * gd;
@@ -719,26 +723,54 @@ const WL_GRAIN: usize = 64;
 /// [`WL_GRAIN`]).
 const DENSITY_GRAIN: usize = 64;
 
+/// One chunk's gradient partial: a full-length scratch vector plus the
+/// slots the chunk wrote, so folding and re-zeroing cost the chunk's own
+/// writes rather than the vector's length.
+struct ChunkGrad {
+    vals: Vec<f64>,
+    touched: Vec<usize>,
+}
+
+impl ChunkGrad {
+    fn add(&mut self, slot: usize, v: f64) {
+        self.vals[slot] += v;
+        self.touched.push(slot);
+    }
+}
+
 /// Evaluates `chunk` over `items` in fixed `grain`-sized chunks and
 /// folds the partials in chunk order: the returned total is the sum of
 /// the chunk totals, and with `grad` each chunk scatters into zeroed
-/// scratch that is then added into `grad` slot by slot.
+/// scratch whose slots are then added into `grad`.
+///
+/// Only the slots a chunk touched are added (a slot listed twice adds
+/// its partial once, then `+0.0`). Skipping `grad[slot] += +0.0` for
+/// the rest is exact because `grad` never holds `-0.0`: every caller
+/// passes a buffer of `+0.0` (fresh or `fill(0.0)`), and a sum that
+/// starts at `+0.0` never becomes `-0.0` under round-to-nearest. The
+/// scratch obeys the same invariant, so the result is bit-identical to
+/// adding every slot of every chunk.
+// ncs-lint: hot
 fn fold_chunks<T>(
     items: &[T],
     grain: usize,
     grad: Option<&mut [f64]>,
-    chunk: impl Fn(&[T], Option<&mut [f64]>) -> f64,
+    mut chunk: impl FnMut(&[T], Option<&mut ChunkGrad>) -> f64,
 ) -> f64 {
     let mut total = 0.0;
     match grad {
         Some(g) => {
-            let mut scratch = vec![0.0; g.len()];
+            let mut scratch = ChunkGrad {
+                vals: vec![0.0; g.len()],
+                touched: Vec::new(),
+            };
             for part in items.chunks(grain) {
-                scratch.fill(0.0);
                 total += chunk(part, Some(&mut scratch));
-                for (slot, s) in g.iter_mut().zip(&scratch) {
-                    *slot += s;
+                for &slot in &scratch.touched {
+                    g[slot] += scratch.vals[slot];
+                    scratch.vals[slot] = 0.0;
                 }
+                scratch.touched.clear();
             }
         }
         None => {
@@ -752,18 +784,31 @@ fn fold_chunks<T>(
 
 /// Weighted-average wirelength (Eq. 1) over all wires; optionally
 /// accumulates the gradient into `grad` (layout `[∂x..., ∂y...]`).
+/// Two-pin wires take [`wa_span2`]; wider wires take [`wa_span`] on
+/// buffers reused across wires.
+// ncs-lint: hot
 fn wa_wirelength(netlist: &Netlist, p: &[f64], gamma: f64, grad: Option<&mut [f64]>) -> f64 {
     let n = netlist.cells.len();
     let (xs, ys) = p.split_at(n);
+    let mut buf = WaBuffers::default();
     fold_chunks(&netlist.wires, WL_GRAIN, grad, |wires, mut scratch| {
         let mut total = 0.0;
         for wire in wires {
             for (coords, offset) in [(xs, 0usize), (ys, n)] {
-                let (span, derivs) = wa_span(&wire.pins, coords, gamma);
-                total += wire.weight * span;
-                if let Some(g) = scratch.as_deref_mut() {
-                    for (&pin, d) in wire.pins.iter().zip(&derivs) {
-                        g[offset + pin] += wire.weight * d;
+                if let [a, b] = wire.pins[..] {
+                    let (span, da, db) = wa_span2(coords[a], coords[b], gamma);
+                    total += wire.weight * span;
+                    if let Some(g) = scratch.as_deref_mut() {
+                        g.add(offset + a, wire.weight * da);
+                        g.add(offset + b, wire.weight * db);
+                    }
+                } else {
+                    let span = wa_span(&wire.pins, coords, gamma, &mut buf);
+                    total += wire.weight * span;
+                    if let Some(g) = scratch.as_deref_mut() {
+                        for (&pin, d) in wire.pins.iter().zip(&buf.derivs) {
+                            g.add(offset + pin, wire.weight * d);
+                        }
                     }
                 }
             }
@@ -772,33 +817,75 @@ fn wa_wirelength(netlist: &Netlist, p: &[f64], gamma: f64, grad: Option<&mut [f6
     })
 }
 
-/// WA smooth max-minus-min of one coordinate over a pin set, with per-pin
-/// derivatives.
-fn wa_span(pins: &[CellId], coords: &[f64], gamma: f64) -> (f64, Vec<f64>) {
-    let vals: Vec<f64> = pins.iter().map(|&p| coords[p]).collect();
+/// WA smooth max-minus-min of one coordinate over a two-pin wire at
+/// `va`, `vb`, with both derivatives — the bits of [`wa_span`] on
+/// `[va, vb]` from one `exp` instead of four:
+///
+/// * The larger pin's max-side weight and the smaller pin's min-side
+///   weight are `exp(0) = 1`. The other two are `exp((lo - hi)/γ)` and
+///   `exp(-(hi - lo)/γ)`, the same value `e` (IEEE subtraction and
+///   division are sign-symmetric).
+/// * Both weight sums are therefore `1 + e` (two-term sums do not depend
+///   on their order), so the four normalised weights take two values.
+/// * The weighted coordinate sums are two-term sums too, so they can run
+///   in `hi, lo` order rather than pin order.
+///
+/// Non-finite inputs still give a non-finite span.
+fn wa_span2(va: f64, vb: f64, gamma: f64) -> (f64, f64, f64) {
+    let (hi, lo) = if va >= vb { (va, vb) } else { (vb, va) };
+    let e = ((lo - hi) / gamma).exp();
+    let s: f64 = [1.0, e].into_iter().sum();
+    let wa_max = [hi, lo * e].into_iter().sum::<f64>() / s;
+    let wa_min = [hi * e, lo].into_iter().sum::<f64>() / s;
+    let (w1, we) = (1.0 / s, e / s);
+    let d_hi = w1 * (1.0 + (hi - wa_max) / gamma) - we * (1.0 - (hi - wa_min) / gamma);
+    let d_lo = we * (1.0 + (lo - wa_max) / gamma) - w1 * (1.0 - (lo - wa_min) / gamma);
+    let (da, db) = if va >= vb { (d_hi, d_lo) } else { (d_lo, d_hi) };
+    (wa_max - wa_min, da, db)
+}
+
+/// Scratch of [`wa_span`], reused across wires.
+#[derive(Default)]
+struct WaBuffers {
+    vals: Vec<f64>,
+    ep: Vec<f64>,
+    em: Vec<f64>,
+    /// Per-pin derivatives of the last span, in pin order.
+    derivs: Vec<f64>,
+}
+
+/// WA smooth max-minus-min of one coordinate over a pin set; the per-pin
+/// derivatives land in `buf.derivs`.
+fn wa_span(pins: &[CellId], coords: &[f64], gamma: f64, buf: &mut WaBuffers) -> f64 {
+    let WaBuffers {
+        vals,
+        ep,
+        em,
+        derivs,
+    } = buf;
+    vals.clear();
+    vals.extend(pins.iter().map(|&p| coords[p]));
     let max = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let min = vals.iter().copied().fold(f64::INFINITY, f64::min);
     // Smooth max side: weights exp((x - max)/γ).
-    let ep: Vec<f64> = vals.iter().map(|&v| ((v - max) / gamma).exp()).collect();
+    ep.clear();
+    ep.extend(vals.iter().map(|&v| ((v - max) / gamma).exp()));
     let sp: f64 = ep.iter().sum();
-    let sxp: f64 = vals.iter().zip(&ep).map(|(v, e)| v * e).sum();
+    let sxp: f64 = vals.iter().zip(ep.iter()).map(|(v, e)| v * e).sum();
     let wa_max = sxp / sp;
     // Smooth min side: weights exp(-(x - min)/γ).
-    let em: Vec<f64> = vals.iter().map(|&v| (-(v - min) / gamma).exp()).collect();
+    em.clear();
+    em.extend(vals.iter().map(|&v| (-(v - min) / gamma).exp()));
     let sm: f64 = em.iter().sum();
-    let sxm: f64 = vals.iter().zip(&em).map(|(v, e)| v * e).sum();
+    let sxm: f64 = vals.iter().zip(em.iter()).map(|(v, e)| v * e).sum();
     let wa_min = sxm / sm;
-    let span = wa_max - wa_min;
-    let derivs = vals
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| {
-            let dmax = (ep[i] / sp) * (1.0 + (v - wa_max) / gamma);
-            let dmin = (em[i] / sm) * (1.0 - (v - wa_min) / gamma);
-            dmax - dmin
-        })
-        .collect();
-    (span, derivs)
+    derivs.clear();
+    derivs.extend(vals.iter().enumerate().map(|(i, &v)| {
+        let dmax = (ep[i] / sp) * (1.0 + (v - wa_max) / gamma);
+        let dmin = (em[i] / sm) * (1.0 - (v - wa_min) / gamma);
+        dmax - dmin
+    }));
+    wa_max - wa_min
 }
 
 /// Smooth finite-support overlap potential along one axis: bell-shaped,
@@ -814,74 +901,346 @@ fn bell(t: f64, w: f64) -> (f64, f64) {
     }
 }
 
-/// Smooth cell-density penalty (Eq. 2): sum over nearby cell pairs of
-/// `a_ij · O_x · O_y` where `O` are bell potentials over virtual widths
-/// `ω·w`. Uses a spatial hash so only interacting pairs are visited.
-/// Optionally accumulates the gradient.
+/// Smooth cell-density penalty (Eq. 2): sum over overlapping cell pairs
+/// of `a_ij · O_x · O_y` where `O` are bell potentials over virtual
+/// widths `ω·w`. Optionally accumulates the gradient.
+///
+/// Only interacting pairs are evaluated (see [`DensityPairs`]). The
+/// visit order is the one that pins the result bits: cells `i` in
+/// ascending [`DENSITY_GRAIN`] chunks; within `i`, partners `j > i` by
+/// the offset rank `(dx+1)·3 + (dy+1)` of `j`'s bucket on the coarse
+/// grid of pitch `max(ω · largest extent, 1)`, then ascending `j`. That
+/// is the order of a sweep over each cell's 3×3 coarse neighbourhood,
+/// and every interacting pair lies within one coarse bucket.
 // ncs-lint: hot
 fn density(netlist: &Netlist, p: &[f64], omega: f64, grad: Option<&mut [f64]>) -> f64 {
     let n = netlist.cells.len();
     let (xs, ys) = p.split_at(n);
-    // Interaction radius: the largest virtual extent.
-    let max_ext = netlist
-        .cells
-        .iter()
-        .map(|c| c.dims.width.max(c.dims.height))
-        .fold(0.0_f64, f64::max)
-        * omega;
-    let bucket = max_ext.max(1.0);
-    // The pair sweep runs over outer-cell chunks, each pair charged to
-    // the chunk owning its smaller index `i`.
-    let mut hash: std::collections::BTreeMap<(i64, i64), Vec<CellId>> =
-        std::collections::BTreeMap::new();
-    for cell in &netlist.cells {
-        let key = (
-            (xs[cell.id] / bucket).floor() as i64,
-            (ys[cell.id] / bucket).floor() as i64,
-        );
-        hash.entry(key).or_default().push(cell.id);
-    }
+    let pairs = DensityPairs::find(netlist, xs, ys, omega);
     fold_chunks(&netlist.cells, DENSITY_GRAIN, grad, |cells, mut scratch| {
         let mut total = 0.0;
         for cell in cells {
             let i = cell.id;
-            let kx = (xs[i] / bucket).floor() as i64;
-            let ky = (ys[i] / bucket).floor() as i64;
-            for dx in -1..=1 {
-                for dy in -1..=1 {
-                    let Some(others) = hash.get(&(kx + dx, ky + dy)) else {
-                        continue;
-                    };
-                    for &j in others {
-                        if j <= i {
-                            continue;
-                        }
-                        let cj = &netlist.cells[j];
-                        let wx = omega * (cell.dims.width + cj.dims.width) / 2.0;
-                        let wy = omega * (cell.dims.height + cj.dims.height) / 2.0;
-                        let tx = xs[i] - xs[j];
-                        let ty = ys[i] - ys[j];
-                        if tx.abs() >= wx || ty.abs() >= wy {
-                            continue;
-                        }
-                        let (ox, dox) = bell(tx, wx);
-                        let (oy, doy) = bell(ty, wy);
-                        let aij = cell.dims.area().min(cj.dims.area());
-                        total += aij * ox * oy;
-                        if let Some(g) = scratch.as_deref_mut() {
-                            let gx = aij * dox * tx.signum() * oy;
-                            let gy = aij * ox * doy * ty.signum();
-                            g[i] += gx;
-                            g[j] -= gx;
-                            g[n + i] += gy;
-                            g[n + j] -= gy;
-                        }
-                    }
+            for &key in pairs.of(i) {
+                let j = DensityPairs::partner(key);
+                let cj = &netlist.cells[j];
+                let wx = omega * (cell.dims.width + cj.dims.width) / 2.0;
+                let wy = omega * (cell.dims.height + cj.dims.height) / 2.0;
+                let tx = xs[i] - xs[j];
+                let ty = ys[i] - ys[j];
+                let (ox, dox) = bell(tx, wx);
+                let (oy, doy) = bell(ty, wy);
+                let aij = cell.dims.area().min(cj.dims.area());
+                total += aij * ox * oy;
+                if let Some(g) = scratch.as_deref_mut() {
+                    let gx = aij * dox * tx.signum() * oy;
+                    let gy = aij * ox * doy * ty.signum();
+                    // `a + (-b)` is `a - b` bit for bit.
+                    g.add(i, gx);
+                    g.add(j, -gx);
+                    g.add(n + i, gy);
+                    g.add(n + j, -gy);
                 }
             }
         }
         total
     })
+}
+
+/// A cell's position, size and coarse bucket, packed for the pair scan.
+#[derive(Clone, Copy)]
+struct Site {
+    x: f64,
+    y: f64,
+    w: f64,
+    h: f64,
+    kx: i64,
+    ky: i64,
+    id: usize,
+}
+
+impl Site {
+    /// Sort key of the pair `(a, b)` under its smaller index when the
+    /// pair interacts: the reference's distance test passes on both axes
+    /// (a NaN distance passes, as it does there) and the cells sit within
+    /// one coarse bucket of each other. The key is `rank << 32 | j`
+    /// with the coarse offset rank of the larger index `j` (cell indices
+    /// fit in 32 bits). The distance test is symmetric in `a` and `b`,
+    /// and wrapping differences match the reference's wrapping keys.
+    fn pair_key(a: &Site, b: &Site, omega: f64) -> Option<u64> {
+        let wx = omega * (a.w + b.w) / 2.0;
+        let wy = omega * (a.h + b.h) / 2.0;
+        let tx = a.x - b.x;
+        let ty = a.y - b.y;
+        if tx.abs() >= wx || ty.abs() >= wy {
+            return None;
+        }
+        let (lo, hi) = if a.id < b.id { (a, b) } else { (b, a) };
+        let dx = hi.kx.wrapping_sub(lo.kx);
+        let dy = hi.ky.wrapping_sub(lo.ky);
+        if (-1..=1).contains(&dx) && (-1..=1).contains(&dy) {
+            Some((((dx + 1) * 3 + (dy + 1)) as u64) << 32 | hi.id as u64)
+        } else {
+            None
+        }
+    }
+}
+
+/// The interacting cell pairs of one [`density`] evaluation, each cell's
+/// partners `j > i` stored as [`Site::pair_key`]s in visit order.
+///
+/// Pairs are found on a flat counting-sort grid. Its pitch is at least
+/// the largest non-crossbar virtual extent and 1 µm, doubled while the
+/// grid would exceed O(n) buckets. Cells that fit the pitch are binned;
+/// each scans forward in bucket order over the buckets its interaction
+/// range covers, so every binned pair is tested once. The larger cells
+/// (crossbar macros) and any cell at a non-finite coordinate are not
+/// binned: they scan the grid over their own range and test each other
+/// directly. Scan ranges are widened by a slack far above the rounding
+/// of `x ± r`, and bucket indices are monotone in the coordinate, so
+/// no interacting pair is missed.
+struct DensityPairs {
+    start: Vec<usize>,
+    keys: Vec<u64>,
+}
+
+impl DensityPairs {
+    /// Keys of `i`'s partners `j > i`, in visit order.
+    fn of(&self, i: usize) -> &[u64] {
+        &self.keys[self.start[i]..self.start[i + 1]]
+    }
+
+    /// The partner index of a key.
+    fn partner(key: u64) -> usize {
+        (key & 0xffff_ffff) as usize
+    }
+
+    // ncs-lint: hot
+    fn find(netlist: &Netlist, xs: &[f64], ys: &[f64], omega: f64) -> Self {
+        let cells = &netlist.cells;
+        let n = cells.len();
+        // The reference's coarse bucket: the largest virtual extent.
+        let max_ext = cells
+            .iter()
+            .map(|c| c.dims.width.max(c.dims.height))
+            .fold(0.0_f64, f64::max)
+            * omega;
+        let coarse = max_ext.max(1.0);
+        let sites: Vec<Site> = cells
+            .iter()
+            .map(|c| Site {
+                x: xs[c.id],
+                y: ys[c.id],
+                w: c.dims.width,
+                h: c.dims.height,
+                kx: floor_key(xs[c.id] / coarse),
+                ky: floor_key(ys[c.id] / coarse),
+                id: c.id,
+            })
+            .collect();
+        let grid = PairGrid::new(netlist, &sites, omega);
+
+        let mut found: Vec<(usize, u64)> = Vec::new();
+        let mut test = |a: &Site, b: &Site| {
+            if let Some(key) = Site::pair_key(a, b, omega) {
+                found.push((a.id.min(b.id), key));
+            }
+        };
+        let cols = grid.cols;
+        for (q, a) in grid.binned.iter().enumerate() {
+            // Forward half of a's range: the rest of its row of buckets,
+            // then whole later rows.
+            let (c0, c1, _, r1) = grid.range(a, omega);
+            let row = grid.row(a.y);
+            for b in &grid.binned[q + 1..grid.start[row * cols + c1 + 1]] {
+                test(a, b);
+            }
+            for r in row + 1..=r1 {
+                for b in &grid.binned[grid.start[r * cols + c0]..grid.start[r * cols + c1 + 1]] {
+                    test(a, b);
+                }
+            }
+        }
+        for (k, &m) in grid.outside.iter().enumerate() {
+            let a = &sites[m];
+            let (c0, c1, r0, r1) = grid.range(a, omega);
+            for r in r0..=r1 {
+                for b in &grid.binned[grid.start[r * cols + c0]..grid.start[r * cols + c1 + 1]] {
+                    test(a, b);
+                }
+            }
+            for &j in &grid.outside[k + 1..] {
+                test(a, &sites[j]);
+            }
+        }
+
+        // Counting sort by smaller index, then each list in key order.
+        let mut start = vec![0usize; n + 1];
+        for &(lo, _) in &found {
+            start[lo] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut keys = vec![0u64; found.len()];
+        for &(lo, key) in &found {
+            start[lo] -= 1;
+            keys[start[lo]] = key;
+        }
+        for i in 0..n {
+            keys[start[i]..start[i + 1]].sort_unstable();
+        }
+        DensityPairs { start, keys }
+    }
+}
+
+/// `q.floor() as i64` (saturating, NaN to 0) without a libm `floor`
+/// call: truncate, then step down for a negative non-integer.
+fn floor_key(q: f64) -> i64 {
+    let t = q as i64;
+    if t as f64 > q {
+        t.saturating_sub(1)
+    } else {
+        t
+    }
+}
+
+/// The bucket grid of [`DensityPairs::find`].
+struct PairGrid {
+    x0: f64,
+    y0: f64,
+    /// Reciprocal pitch.
+    inv: f64,
+    cols: usize,
+    rows: usize,
+    /// Binned cells in row-major bucket order: bucket `b` holds
+    /// `binned[start[b]..start[b + 1]]`.
+    binned: Vec<Site>,
+    start: Vec<usize>,
+    /// Cells outside the grid, ascending.
+    outside: Vec<usize>,
+    /// Largest width / height among binned cells.
+    max_w: f64,
+    max_h: f64,
+    slack: f64,
+}
+
+impl PairGrid {
+    // ncs-lint: hot
+    fn new(netlist: &Netlist, sites: &[Site], omega: f64) -> Self {
+        let pitch0 = netlist
+            .cells
+            .iter()
+            .filter(|c| !matches!(c.kind, ncs_tech::CellKind::Crossbar(_)))
+            .map(|c| c.dims.width.max(c.dims.height) * omega)
+            .fold(0.0_f64, f64::max)
+            .max(1.0);
+        let mut inside = Vec::new();
+        let mut outside = Vec::new();
+        let (mut x0, mut y0) = (f64::INFINITY, f64::INFINITY);
+        let (mut x1, mut y1) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        let (mut max_w, mut max_h) = (0.0_f64, 0.0_f64);
+        let mut max_abs = 0.0_f64;
+        let mut max_dim = 0.0_f64;
+        for s in sites {
+            let finite = s.x.is_finite() && s.y.is_finite();
+            max_dim = max_dim.max(s.w).max(s.h);
+            if finite {
+                max_abs = max_abs.max(s.x.abs()).max(s.y.abs());
+            }
+            if finite && s.w.max(s.h) * omega <= pitch0 {
+                x0 = x0.min(s.x);
+                x1 = x1.max(s.x);
+                y0 = y0.min(s.y);
+                y1 = y1.max(s.y);
+                max_w = max_w.max(s.w);
+                max_h = max_h.max(s.h);
+                inside.push(s.id);
+            } else {
+                outside.push(s.id);
+            }
+        }
+        if inside.is_empty() {
+            (x0, y0, x1, y1) = (0.0, 0.0, 0.0, 0.0);
+        }
+        // Keep the bucket count O(n): double the pitch until it fits.
+        let cap = 8 * inside.len() + 16;
+        let mut pitch = pitch0;
+        let (cols, rows) = loop {
+            let cols = buckets_along(x1 - x0, pitch);
+            let rows = buckets_along(y1 - y0, pitch);
+            if cols.saturating_mul(rows) <= cap {
+                break (cols, rows);
+            }
+            pitch *= 2.0;
+        };
+        let mut grid = PairGrid {
+            x0,
+            y0,
+            inv: 1.0 / pitch,
+            cols,
+            rows,
+            binned: Vec::new(),
+            start: vec![0; cols * rows + 1],
+            outside,
+            max_w,
+            max_h,
+            // Far above the rounding of `x ± r` at these magnitudes.
+            slack: 1e-9 * (max_abs + omega * max_dim + 1.0),
+        };
+        // Counting sort by bucket; filling backwards keeps each bucket
+        // in ascending index.
+        let bucket: Vec<usize> = inside
+            .iter()
+            .map(|&i| grid.row(sites[i].y) * cols + grid.col(sites[i].x))
+            .collect();
+        for &b in &bucket {
+            grid.start[b] += 1;
+        }
+        for b in 0..cols * rows {
+            grid.start[b + 1] += grid.start[b];
+        }
+        let mut order = vec![0; inside.len()];
+        for (&i, &b) in inside.iter().zip(&bucket).rev() {
+            grid.start[b] -= 1;
+            order[grid.start[b]] = i;
+        }
+        grid.binned = order.iter().map(|&i| sites[i]).collect();
+        grid
+    }
+
+    /// Column of coordinate `x`, clamped to the grid. Monotone in `x`
+    /// (the saturating cast sends negatives and NaN to 0).
+    fn col(&self, x: f64) -> usize {
+        (((x - self.x0) * self.inv) as usize).min(self.cols - 1)
+    }
+
+    fn row(&self, y: f64) -> usize {
+        (((y - self.y0) * self.inv) as usize).min(self.rows - 1)
+    }
+
+    /// Columns `c0..=c1` and rows `r0..=r1` covering `s`'s interaction
+    /// range with binned cells (the whole grid for a non-finite
+    /// coordinate).
+    fn range(&self, s: &Site, omega: f64) -> (usize, usize, usize, usize) {
+        if !(s.x.is_finite() && s.y.is_finite()) {
+            return (0, self.cols - 1, 0, self.rows - 1);
+        }
+        let rx = omega * (s.w + self.max_w) / 2.0 + self.slack;
+        let ry = omega * (s.h + self.max_h) / 2.0 + self.slack;
+        (
+            self.col(s.x - rx),
+            self.col(s.x + rx),
+            self.row(s.y - ry),
+            self.row(s.y + ry),
+        )
+    }
+}
+
+/// Buckets along an axis of length `span` at `pitch` (1 for a NaN or
+/// infinite ratio).
+fn buckets_along(span: f64, pitch: f64) -> usize {
+    ((span / pitch) as usize).saturating_add(1)
 }
 
 /// Exact total pairwise rectangle-overlap area.
@@ -1301,8 +1660,10 @@ mod tests {
     fn wa_span_approximates_true_span() {
         let coords = vec![0.0, 10.0, 4.0];
         let pins = vec![0, 1, 2];
-        let (span, _) = wa_span(&pins, &coords, 0.5);
+        let mut buf = WaBuffers::default();
+        let span = wa_span(&pins, &coords, 0.5, &mut buf);
         assert!((span - 10.0).abs() < 0.5, "span {span}");
+        assert_eq!(buf.derivs.len(), 3);
     }
 
     #[test]
@@ -1346,6 +1707,36 @@ mod tests {
                 "idx {idx}: analytic {} vs fd {fd}",
                 grad[idx]
             );
+        }
+    }
+
+    #[test]
+    fn floor_key_matches_floor_cast() {
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            -1.5,
+            2.5e15 + 0.5,
+            -2.5e15 - 0.5,
+            9.3e18,
+            -9.3e18,
+            -1e300,
+            1e300,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+        ];
+        cases.extend((0..2000).map(|k| (k as f64 - 1000.0) * 0.37));
+        for q in cases {
+            assert_eq!(floor_key(q), q.floor() as i64, "q = {q}");
         }
     }
 
